@@ -69,10 +69,10 @@ pub fn run_workload_opts(w: &WorkloadSpec, model: ConsistencyModel, opts: &Opts)
 }
 
 /// Like [`run_workload`], but on the cycle-exact lockstep reference
-/// engine (`cycle_skip` off). Same deterministic cycles by the engine
-/// equivalence invariant; CI diffs a lockstep sweep against the default
-/// event-driven one on every push to pin that invariant on the litmus
-/// cells.
+/// engine (`EngineMode::Lockstep`). Same deterministic cycles by the
+/// engine equivalence invariant; CI diffs a lockstep sweep against the
+/// default event-driven one on every push to pin that invariant on the
+/// litmus cells.
 pub fn run_workload_lockstep(
     w: &WorkloadSpec,
     model: ConsistencyModel,

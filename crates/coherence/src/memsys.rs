@@ -270,6 +270,16 @@ pub struct MemorySystem {
     /// NOT bump its core's stamp — its only side effects (request id,
     /// reject counter) cannot flip a later attempt's outcome — which is
     /// exactly what lets the core memoize `MshrFull` rejections.
+    ///
+    /// The stamp also decides when a sleeping core wakes. A core whose
+    /// last tick only re-booked memoized rejections sleeps while the
+    /// event engines book those rejections in closed form, and it wakes
+    /// as soon as its stamp moves. While it sleeps only deliveries to
+    /// its controller can move the stamp (it issues and commits nothing
+    /// itself), and deliveries are queued events, so no idle jump steps
+    /// over one. Some deliveries raise no notice (a fill or grant with no
+    /// waiter, such as a prefetch fill, frees an MSHR silently), so
+    /// notices alone would not do.
     reject_epochs: Vec<u64>,
 }
 
@@ -399,7 +409,8 @@ impl MemorySystem {
         Some(id)
     }
 
-    /// This core's [reject-memo](Self::issue_load) version stamp.
+    /// This core's reject-memo version stamp (see `reject_epochs`): an
+    /// unchanged stamp means a rejected issue would be rejected again.
     pub fn reject_epoch(&self, core: CoreId) -> u64 {
         self.reject_epochs[core.index()]
     }

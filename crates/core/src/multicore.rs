@@ -353,10 +353,12 @@ impl<T: Tracer, P: Profiler> Multicore<T, P> {
     ///
     /// A core that ticks without making progress is put to sleep: its
     /// remaining stall is a pure replay (the same CPI category, the same
-    /// occupancies) until either a notice arrives from the memory system
-    /// or its own next timed wakeup ([`Core::next_timed_wakeup`]) comes
-    /// due, so those cycles are applied in bulk via
-    /// [`Core::apply_idle_cycles`] instead of being simulated. When every
+    /// occupancies, the same [memoized MSHR
+    /// re-rejections](Core::idle_rejects)) until a notice arrives from
+    /// the memory system, its own next timed wakeup
+    /// ([`Core::next_timed_wakeup`]) comes due, or its reject stamp
+    /// moves, so those cycles are applied in bulk via [`idle_cycles`]
+    /// instead of being simulated. When every
     /// core is asleep the engine jumps straight to the earliest cycle
     /// anything can happen: the memory system's next queued event, the
     /// earliest core wakeup, the next sampler boundary (samples must land
@@ -368,8 +370,10 @@ impl<T: Tracer, P: Profiler> Multicore<T, P> {
         // `active[i]`: last tick made progress, so tick again next cycle.
         // `wake[i]`: earliest self-scheduled wakeup of a sleeping core
         // (`None` = only a notice can wake it).
+        // `stamp[i]`: a sleeping core's reject stamp when it fell asleep.
         let mut active = vec![true; n];
         let mut wake: Vec<Option<Cycle>> = vec![None; n];
+        let mut stamp = vec![0u64; n];
         let mut last_progress = self.cycle;
         while !self.finished() {
             if self.cycle >= max_cycles {
@@ -390,10 +394,11 @@ impl<T: Tracer, P: Profiler> Multicore<T, P> {
                 }
                 let due = active[i]
                     || !self.notice_scratch.is_empty()
-                    || wake[i].is_some_and(|w| w <= self.cycle);
+                    || wake[i].is_some_and(|w| w <= self.cycle)
+                    || reject_memo_moved(&self.cores[i], &self.mem, id, stamp[i]);
                 if !due {
                     if !self.cores[i].finished() {
-                        self.cores[i].apply_idle_cycles(1);
+                        idle_cycles(&mut self.cores[i], &mut self.mem, id, 1);
                     }
                     continue;
                 }
@@ -422,6 +427,7 @@ impl<T: Tracer, P: Profiler> Multicore<T, P> {
                 } else {
                     active[i] = false;
                     wake[i] = self.cores[i].next_timed_wakeup(self.cycle);
+                    stamp[i] = self.mem.reject_epoch(id);
                 }
             }
             self.cycle += 1;
@@ -456,9 +462,9 @@ impl<T: Tracer, P: Profiler> Multicore<T, P> {
                 continue;
             }
             let skipped = next - self.cycle;
-            for c in &mut self.cores {
+            for (i, c) in self.cores.iter_mut().enumerate() {
                 if !c.finished() {
-                    c.apply_idle_cycles(skipped);
+                    idle_cycles(c, &mut self.mem, CoreId::from_index(i), skipped);
                 }
             }
             self.cycle = next;
@@ -572,6 +578,7 @@ impl<T: Tracer, P: Profiler> Multicore<T, P> {
                     cur: 0,
                     active: vec![true; k],
                     wake: vec![None; k],
+                    stamp: vec![0; k],
                     scratch: Vec::new(),
                     finished_at: None,
                     samples: Vec::new(),
@@ -823,6 +830,7 @@ struct EngineShard<C> {
     cur: Cycle,
     active: Vec<bool>,
     wake: Vec<Option<Cycle>>,
+    stamp: Vec<u64>,
     scratch: Vec<Notice>,
     /// `Some(f)` once every local core has finished; `f` is one past the
     /// cycle of the finishing tick — this shard's vote for the global
@@ -902,6 +910,28 @@ fn add_sample(acc: &mut SampleInput, p: &SampleInput) {
     acc.squashes += p.squashes;
 }
 
+/// Books `n` idle cycles of a sleeping core: its stall replay
+/// ([`Core::apply_idle_cycles`]) and the memoized MSHR re-rejections those
+/// cycles would have booked ([`Core::idle_rejects`] per cycle). The
+/// request-id stream and reject counter therefore match lockstep at every
+/// cycle boundary, the sampler's included.
+fn idle_cycles(core: &mut Core, mem: &mut MemorySystem, id: CoreId, n: u64) {
+    core.apply_idle_cycles(n);
+    let k = core.idle_rejects();
+    if k > 0 {
+        mem.note_rejected_issues(id, k * n);
+    }
+}
+
+/// `true` when a sleeping core that books memoized re-rejections must
+/// wake: its reject stamp moved off `stamp`, the value it fell asleep
+/// at, so a retry may now be accepted. Every move while it sleeps is a
+/// delivery to its controller, a queued event, so a jump never steps
+/// over one.
+fn reject_memo_moved(core: &Core, mem: &MemorySystem, id: CoreId, stamp: u64) -> bool {
+    core.idle_rejects() > 0 && mem.reject_epoch(id) != stamp
+}
+
 /// Advances one shard from `st.cur` through `bound` (inclusive), running
 /// the serial event engine's per-cycle body over the local cores — or
 /// the lockstep body when `lockstep` is set (every unfinished core ticks
@@ -923,6 +953,7 @@ fn run_span<C: Tracer, P: Profiler>(
         cur,
         active,
         wake,
+        stamp,
         scratch,
         finished_at,
         samples,
@@ -940,11 +971,14 @@ fn run_span<C: Tracer, P: Profiler>(
             if mem.has_notices(id) {
                 mem.take_notices_into(id, scratch);
             }
-            let due =
-                lockstep || active[k] || !scratch.is_empty() || wake[k].is_some_and(|w| w <= *cur);
+            let due = lockstep
+                || active[k]
+                || !scratch.is_empty()
+                || wake[k].is_some_and(|w| w <= *cur)
+                || reject_memo_moved(core, mem, id, stamp[k]);
             if !due {
                 if !core.finished() {
-                    core.apply_idle_cycles(1);
+                    idle_cycles(core, mem, id, 1);
                 }
                 continue;
             }
@@ -967,6 +1001,7 @@ fn run_span<C: Tracer, P: Profiler>(
                 } else {
                     active[k] = false;
                     wake[k] = core.next_timed_wakeup(*cur);
+                    stamp[k] = mem.reject_epoch(id);
                 }
             }
         }
@@ -1002,9 +1037,9 @@ fn run_span<C: Tracer, P: Profiler>(
             continue;
         }
         let skipped = next - *cur;
-        for (_, c) in cores.iter_mut() {
+        for (gi, c) in cores.iter_mut() {
             if !c.finished() {
-                c.apply_idle_cycles(skipped);
+                idle_cycles(c, mem, CoreId::from_index(*gi), skipped);
             }
         }
         *cur = next;

@@ -9,8 +9,16 @@
 //! booleans, null — and rejects everything else with a byte-offset
 //! error. Not a general-purpose library: no streaming, no
 //! serde-style mapping, numbers normalized to `f64`.
+//!
+//! Containers nest at most [`MAX_DEPTH`] deep. The parser recurses once
+//! per level and reads untrusted request bodies in sa-serve, so without
+//! the bound a body of a few thousand `[` would overflow the stack.
 
 use std::collections::BTreeMap;
+
+/// Deepest container nesting [`JsonValue::parse`] accepts; deeper input
+/// is an error ("nesting too deep"), not a stack overflow.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON document node.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,7 +41,7 @@ impl JsonValue {
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         let b = text.as_bytes();
         let mut pos = 0;
-        let v = parse_value(b, &mut pos)?;
+        let v = parse_value(b, &mut pos, 0)?;
         skip_ws(b, &mut pos);
         if pos != b.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -113,12 +121,16 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses one value whose enclosing containers are `depth` deep.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting too deep (over {MAX_DEPTH} levels) at byte {pos}"
+        )),
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", JsonValue::Bool(false)),
@@ -208,7 +220,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(b, pos, b'[')?;
     let mut v = Vec::new();
     skip_ws(b, pos);
@@ -217,7 +229,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Arr(v));
     }
     loop {
-        v.push(parse_value(b, pos)?);
+        v.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -230,7 +242,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(b, pos, b'{')?;
     let mut m = BTreeMap::new();
     skip_ws(b, pos);
@@ -242,7 +254,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         skip_ws(b, pos);
         let key = parse_string(b, pos)?;
         expect(b, pos, b':')?;
-        m.insert(key, parse_value(b, pos)?);
+        m.insert(key, parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -307,6 +319,24 @@ mod tests {
             v.get("a").and_then(JsonValue::as_arr).map(<[_]>::len),
             Some(2)
         );
+    }
+
+    #[test]
+    fn bounds_nesting_depth() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(JsonValue::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting too deep"), "{err}");
+        let obj = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(JsonValue::parse(&obj)
+            .unwrap_err()
+            .contains("nesting too deep"));
+        // Far past the bound, unbalanced: an error, not a stack overflow.
+        assert!(JsonValue::parse(&"[".repeat(60_000)).is_err());
     }
 
     #[test]

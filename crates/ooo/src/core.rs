@@ -94,8 +94,10 @@ enum DispatchStall {
 pub struct TickResult {
     /// Whether any pipeline state changed beyond per-cycle bookkeeping.
     /// A `false` tick is a pure stall: re-running it with no new memory
-    /// notices only re-accrues the same per-cycle counters, so the
-    /// engine may replay it in bulk via [`Core::apply_idle_cycles`].
+    /// notices and an unmoved reject stamp only re-accrues the same
+    /// per-cycle counters and re-books the same [memoized
+    /// rejections](Core::idle_rejects), so the engine may replay it in
+    /// bulk via [`Core::apply_idle_cycles`].
     pub progress: bool,
     /// Instructions retired this tick.
     pub retired: u64,
@@ -142,6 +144,12 @@ pub struct Core {
     /// Set by any phase that changes pipeline state this tick; a tick
     /// that ends with it clear is a pure stall the engine may replay.
     progress: bool,
+    /// Memoized MSHR re-rejections booked this tick. They change no core
+    /// state, only the port's request-id stream and reject counter, so
+    /// they do not count as progress: a tick with nothing else to do is
+    /// idle, and the engine books this many rejections per idle cycle
+    /// (see [`Core::idle_rejects`]).
+    idle_rejects: u64,
     /// The stall category a no-progress tick charged its retire slots to
     /// (replayed verbatim by [`Core::apply_idle_cycles`]).
     idle_stall: Option<CpiCategory>,
@@ -227,6 +235,7 @@ impl Core {
             sched_start: 0,
             resume_was_squash: false,
             progress: false,
+            idle_rejects: 0,
             idle_stall: None,
             idle_gate_stall: false,
             idle_slfspec_stall: false,
@@ -328,6 +337,7 @@ impl Core {
         tracer: &mut T,
     ) -> TickResult {
         self.progress = false;
+        self.idle_rejects = 0;
         self.idle_stall = None;
         self.idle_gate_stall = false;
         self.idle_slfspec_stall = false;
@@ -379,8 +389,10 @@ impl Core {
     /// Replays `n` cycles of pure-stall bookkeeping, exactly as `n`
     /// further ticks of the current state would have accrued it. Only
     /// valid straight after a tick that reported no progress, and only
-    /// while no new memory notice or timed wakeup intervenes (the
-    /// engine's contract — see `Multicore::run`).
+    /// while no new memory notice, timed wakeup or reject-stamp move
+    /// intervenes (the engine's contract — see `Multicore::run`). The
+    /// memory side of those ticks, [`Core::idle_rejects`] per cycle, is
+    /// the engine's to book.
     pub fn apply_idle_cycles(&mut self, n: u64) {
         if n == 0 {
             return;
@@ -406,6 +418,20 @@ impl Core {
         self.metrics
             .occ
             .record_n(self.rob.len(), self.lq.len(), self.sq.len(), n);
+    }
+
+    /// Memoized MSHR re-rejections each further cycle of the current
+    /// stall books. Only meaningful straight after a tick that reported
+    /// no progress: while the port's [`reject_epoch`] stamp stays where
+    /// it was after that tick, every replayed cycle re-rejects exactly
+    /// this many issues, so the engine books them in closed form
+    /// (`note_rejected_issues(k * n)` alongside
+    /// [`Core::apply_idle_cycles`]`(n)`). Once the stamp moves the memo
+    /// no longer holds, and the core must tick again.
+    ///
+    /// [`reject_epoch`]: LoadStorePort::reject_epoch
+    pub fn idle_rejects(&self) -> u64 {
+        self.idle_rejects
     }
 
     /// The earliest cycle after `now` at which this core could make
@@ -782,28 +808,31 @@ impl Core {
                     self.sq_unowned_stamp[slot] = e;
                 }
                 if no_req {
-                    // Every issue attempt counts as progress: even a
+                    // Every issue attempt keeps the drain awake: even a
                     // rejected one mutates the memory system (request ids,
-                    // MSHR-reject counters), so the lockstep retry cadence
-                    // must be kept.
-                    self.progress = true;
+                    // MSHR-reject counters) and must be booked each cycle.
+                    // A memoized re-rejection changes nothing else, so it
+                    // is not progress (see `idle_rejects`).
                     active = true;
                     if stamp.is_some() && stamp == Some(self.sq_own_reject_stamp[slot]) {
-                        mem.note_rejected_issues(1);
-                    } else if let Some(req) = mem.issue_ownership(line, now) {
-                        self.sq.own_req[slot] = Some(req);
-                        self.pending_owns.insert(req, self.sq.idx_at_slot(slot));
-                        tracer.emit(|| TraceEvent {
-                            cycle: now,
-                            core: cid,
-                            kind: EventKind::MemReq {
-                                req: req.0,
-                                line: line.base(),
-                                rfo: true,
-                            },
-                        });
-                    } else if let Some(e) = stamp {
-                        self.sq_own_reject_stamp[slot] = e;
+                        self.book_memo_rejects(mem, 1);
+                    } else {
+                        self.progress = true;
+                        if let Some(req) = mem.issue_ownership(line, now) {
+                            self.sq.own_req[slot] = Some(req);
+                            self.pending_owns.insert(req, self.sq.idx_at_slot(slot));
+                            tracer.emit(|| TraceEvent {
+                                cycle: now,
+                                core: cid,
+                                kind: EventKind::MemReq {
+                                    req: req.0,
+                                    line: line.base(),
+                                    rfo: true,
+                                },
+                            });
+                        } else if let Some(e) = stamp {
+                            self.sq_own_reject_stamp[slot] = e;
+                        }
                     }
                 }
             }
@@ -842,12 +871,12 @@ impl Core {
             } else if let Some(e) = stamp {
                 self.sq_unowned_stamp[s] = e;
             }
-            self.progress = true; // issue attempt (see above)
-            active = true;
+            active = true; // issue attempt (see above)
             if stamp.is_some() && stamp == Some(self.sq_own_reject_stamp[s]) {
-                mem.note_rejected_issues(1);
+                self.book_memo_rejects(mem, 1);
                 continue;
             }
+            self.progress = true;
             if let Some(req) = mem.issue_ownership(line, now) {
                 self.sq.own_req[s] = Some(req);
                 self.pending_owns.insert(req, self.sq.idx_at_slot(s));
@@ -1352,14 +1381,13 @@ impl Core {
                 let s = slot as usize;
                 let take = match self.lq.state_at(s) {
                     // A rejected issue mutates the memory system
-                    // (request id, reject counter): replay each cycle.
+                    // (request id, reject counter): a retry the memo
+                    // answers is booked, never skipped.
                     LoadState::Blocked(BlockReason::MshrFull) => {
                         if load_ports == 0 {
                             break;
                         }
-                        if self.lq.attempt_epoch[s] == epoch
-                            && mem.reject_epoch() == Some(self.lq.reject_stamp[s])
-                        {
+                        if self.mshr_reject_memoized(s, mem) {
                             pending_rejects += 1;
                             continue;
                         }
@@ -1386,8 +1414,7 @@ impl Core {
                     break;
                 }
                 if pending_rejects > 0 {
-                    mem.note_rejected_issues(pending_rejects);
-                    self.progress = true;
+                    self.book_memo_rejects(mem, pending_rejects);
                     pending_rejects = 0;
                 }
                 let lqi = LqIdx {
@@ -1405,8 +1432,7 @@ impl Core {
                 }
             }
             if pending_rejects > 0 {
-                mem.note_rejected_issues(pending_rejects);
-                self.progress = true;
+                self.book_memo_rejects(mem, pending_rejects);
             }
             self.blocked_scratch = blocked;
         }
@@ -1455,6 +1481,25 @@ impl Core {
         }
     }
 
+    /// `true` when a retry of the load in LQ slot `s` is known to be
+    /// MSHR-rejected again: it is blocked `MshrFull`, the LSQ epoch has
+    /// not moved since it blocked (so the retry would reach the same
+    /// memory issue), and the port's reject stamp is still the one its
+    /// rejection recorded. The one memo test for both the retry pass's
+    /// filter and [`Core::try_execute_load`].
+    fn mshr_reject_memoized<M: LoadStorePort>(&self, s: usize, mem: &M) -> bool {
+        self.lq.state_at(s) == LoadState::Blocked(BlockReason::MshrFull)
+            && self.lq.attempt_epoch[s] == self.lsq_epoch
+            && mem.reject_epoch() == Some(self.lq.reject_stamp[s])
+    }
+
+    /// Books `n` memoized MSHR re-rejections: their memory-side effects
+    /// now, and their count for [`Core::idle_rejects`]. Not progress.
+    fn book_memo_rejects<M: LoadStorePort>(&mut self, mem: &mut M, n: u64) {
+        mem.note_rejected_issues(n);
+        self.idle_rejects += n;
+    }
+
     /// Runs the load state machine; returns `true` when a port was
     /// consumed (a forward happened or a request was issued).
     fn try_execute_load<M: LoadStorePort, T: Tracer, P: Profiler>(
@@ -1470,12 +1515,8 @@ impl Core {
         // Cheapest exit first: a memoized re-rejection needs no other
         // column (see below) — book it before touching the rest of the
         // entry's cache lines.
-        if prev_state == LoadState::Blocked(BlockReason::MshrFull)
-            && attempt_epoch == self.lsq_epoch
-            && mem.reject_epoch() == Some(self.lq.reject_stamp[slot])
-        {
-            mem.note_rejected_issues(1);
-            self.progress = true;
+        if self.mshr_reject_memoized(slot, mem) {
+            self.book_memo_rejects(mem, 1);
             return false;
         }
         let id = self.lq.rob[slot];
@@ -1501,8 +1542,8 @@ impl Core {
 
         // Fast path: an `MshrFull` retry under an unchanged LSQ epoch
         // would reproduce the same fence/StoreSet/forwarding-search miss,
-        // so only the memory issue — whose rejection mutates the memory
-        // system and must replay every cycle — is re-run.
+        // so only the memory issue is re-run (the reject stamp moved, so
+        // the memo above could not answer it).
         if prev_state == LoadState::Blocked(BlockReason::MshrFull)
             && attempt_epoch == self.lsq_epoch
         {
@@ -1621,9 +1662,9 @@ impl Core {
                     true
                 }
                 None => {
-                    // The rejected issue still mutated the memory system
-                    // (request id, MSHR-reject counter): the core must
-                    // stay awake and retry every cycle, as in lockstep.
+                    // A real rejection is progress: it records a fresh
+                    // reject stamp. The retries that follow are memoized
+                    // while that stamp holds and book as idle rejections.
                     self.progress = true;
                     set_blocked(self, BlockReason::MshrFull);
                     self.lq.miss_passed_unresolved[slot] = passed_unresolved;

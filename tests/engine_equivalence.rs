@@ -110,3 +110,43 @@ fn single_core_workload_matches() {
         );
     }
 }
+
+/// An MSHR-starved machine (2 MSHRs per core) keeps loads and RFOs
+/// `Blocked(MshrFull)` for most of the run. The event engines sleep
+/// through the memoized re-rejections and book them in closed form; the
+/// booked request ids and reject counters must match lockstep at every
+/// cycle boundary, and a fine sampling interval lands samples inside the
+/// sleep spans. Lockstep, event-driven and `parallel:2` must agree.
+#[test]
+fn mshr_starved_rejections_book_identically() {
+    for (name, cores, instrs) in [("505.mcf", 1, 2_000), ("radix", 8, 400)] {
+        let w = sa_workloads::by_name(name).expect("workload exists");
+        let traces = w.generate(cores, instrs, 3);
+        for model in ConsistencyModel::ALL {
+            let mut cfg = SimConfig::default()
+                .with_model(model)
+                .with_cores(cores)
+                .with_sample_interval(64);
+            cfg.mem.mshrs = 2;
+            let label = format!("{name} under {model} with 2 MSHRs");
+            let run = |engine: EngineMode| {
+                Multicore::new(cfg.clone().with_engine(engine), traces.clone())
+                    .run(u64::MAX)
+                    .unwrap_or_else(|e| panic!("{label} on {engine:?}: {e}"))
+            };
+            let rl = run(EngineMode::Lockstep);
+            for (i, c) in rl.mem.per_core.iter().enumerate() {
+                assert!(c.mshr_rejects > 0, "{label}: core {i} never rejected");
+            }
+            assert!(!rl.samples.is_empty(), "{label}: no samples");
+            for engine in [EngineMode::EventDriven, EngineMode::Parallel { threads: 2 }] {
+                let r = run(engine);
+                assert_eq!(
+                    r.samples, rl.samples,
+                    "{label} on {engine:?}: samples differ"
+                );
+                assert_eq!(r, rl, "{label} on {engine:?}: reports differ");
+            }
+        }
+    }
+}

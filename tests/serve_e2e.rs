@@ -3,8 +3,9 @@
 //! a value-renamed resubmission must be answered from the memo cache
 //! (hit counter moves, no new simulation or exploration), a concurrent
 //! burst against a small pool must 429 the overflow and settle every
-//! accepted job, and a farm burst must drain cleanly through
-//! `/shutdown`.
+//! accepted job, a farm burst must drain cleanly through `/shutdown`,
+//! and a hostile, deeply nested body must be refused without taking the
+//! process down.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -296,4 +297,29 @@ fn farm_burst_fills_coverage_and_drains_on_shutdown() {
     let doc = std::fs::read_to_string(&checkpoint).expect("read checkpoint");
     assert!(doc.contains("sa-serve-checkpoint-v1"));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A body of 60 KB of `[` fits inside `MAX_BODY` but nests far past the
+/// JSON reader's depth bound: `POST /jobs` refuses it with 400 instead of
+/// overflowing the connection thread's stack, and the server keeps
+/// answering.
+#[test]
+fn deeply_nested_body_is_refused_and_server_survives() {
+    let server = Server::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .expect("start server");
+    let client = ServeClient::new(server.port());
+    let body = "[".repeat(60 * 1024);
+    assert!(body.len() < sa_serve::http::MAX_BODY);
+    let (status, text) = client.post("/jobs", &body).expect("post");
+    assert_eq!(status, 400, "{text}");
+    assert!(text.contains("nesting too deep"), "{text}");
+    let (status, text) = client.get("/metrics").expect("scrape after refusal");
+    assert_eq!(status, 200);
+    assert!(text.contains("sa_serve_jobs_completed_total"), "{text}");
+    client.shutdown().expect("shutdown");
+    let report = server.join();
+    assert_eq!(report.completed + report.failed, 0);
 }
