@@ -263,24 +263,6 @@ pub struct MemorySystem {
     /// — so a sharded build numbers requests identically to the serial
     /// engine regardless of cross-shard interleaving.
     next_req: Vec<u64>,
-    /// Per-core version stamps over controller state: bumped whenever a
-    /// core's private controller is mutated in a way that could change
-    /// the outcome of a subsequent issue attempt (accepted issues,
-    /// protocol message delivery, commit writes). A rejected issue does
-    /// NOT bump its core's stamp — its only side effects (request id,
-    /// reject counter) cannot flip a later attempt's outcome — which is
-    /// exactly what lets the core memoize `MshrFull` rejections.
-    ///
-    /// The stamp also decides when a sleeping core wakes. A core whose
-    /// last tick only re-booked memoized rejections sleeps while the
-    /// event engines book those rejections in closed form, and it wakes
-    /// as soon as its stamp moves. While it sleeps only deliveries to
-    /// its controller can move the stamp (it issues and commits nothing
-    /// itself), and deliveries are queued events, so no idle jump steps
-    /// over one. Some deliveries raise no notice (a fill or grant with no
-    /// waiter, such as a prefetch fill, frees an MSHR silently), so
-    /// notices alone would not do.
-    reject_epochs: Vec<u64>,
 }
 
 impl MemorySystem {
@@ -341,7 +323,6 @@ impl MemorySystem {
             notices: vec![Vec::new(); cfg.n_cores],
             outbox: Vec::new(),
             next_req: vec![0; cfg.n_cores],
-            reject_epochs: vec![0; cfg.n_cores],
             cfg,
         }
     }
@@ -404,15 +385,36 @@ impl MemorySystem {
     ) -> Option<MemReqId> {
         let id = self.fresh_req(core);
         let actions = self.ctrl_mut(core).load(id, line, pc, addr, now)?;
-        self.reject_epochs[core.index()] += 1;
         self.apply(actions);
         Some(id)
     }
 
-    /// This core's reject-memo version stamp (see `reject_epochs`): an
-    /// unchanged stamp means a rejected issue would be rejected again.
+    /// This core's reject stamp, kept by its private controller: it
+    /// moves only on an MSHR allocation or a fill, so while it is
+    /// unchanged a rejected issue would be rejected again and a line
+    /// found not owned is still not owned (see
+    /// [`PrivateCtrl::reject_epoch`]). A rejected issue does not move it:
+    /// its only side effects (request id, reject counter) cannot flip a
+    /// later attempt.
+    ///
+    /// The stamp also decides when a sleeping core wakes. A core whose
+    /// last tick only re-booked memoized rejections sleeps while the
+    /// event engines book those rejections in closed form, and it wakes
+    /// as soon as its stamp moves. While it sleeps it issues nothing, so
+    /// only a fill delivered to its controller can move the stamp, and
+    /// deliveries are queued events: no idle jump steps over one. A fill
+    /// with no waiter (a prefetch fill) frees an MSHR without a notice,
+    /// so notices alone would not do.
     pub fn reject_epoch(&self, core: CoreId) -> u64 {
-        self.reject_epochs[core.index()]
+        self.ctrl(core).reject_epoch()
+    }
+
+    /// `true` when an issue by `core` for `line` would be MSHR-rejected
+    /// right now (an ownership request when `ownership`): the
+    /// side-effect-free probe behind the cores' debug checks of their
+    /// reject memos.
+    pub fn would_reject(&self, core: CoreId, line: Line, ownership: bool) -> bool {
+        self.ctrl(core).would_reject(line, ownership)
     }
 
     /// Applies the side effects of `n` load or ownership issues known
@@ -433,7 +435,6 @@ impl MemorySystem {
     pub fn issue_ownership(&mut self, core: CoreId, line: Line, now: Cycle) -> Option<MemReqId> {
         let id = self.fresh_req(core);
         let actions = self.ctrl_mut(core).ownership(id, line, now)?;
-        self.reject_epochs[core.index()] += 1;
         self.apply(actions);
         Some(id)
     }
@@ -445,7 +446,6 @@ impl MemorySystem {
 
     /// Records the store-commit L1 write into an owned line.
     pub fn mark_dirty(&mut self, core: CoreId, line: Line) {
-        self.reject_epochs[core.index()] += 1;
         self.ctrl_mut(core).mark_dirty(line);
     }
 
@@ -548,7 +548,6 @@ impl MemorySystem {
                         }
                         NodeId::Core(c) => {
                             let _p = P::span("private");
-                            self.reject_epochs[c.index()] += 1;
                             self.ctrl_mut(c).handle(msg, cycle)
                         }
                     };

@@ -91,6 +91,9 @@ pub struct PrivateCtrl {
     prefetcher: StridePrefetcher,
     l1_latency: u64,
     l2_latency: u64,
+    /// Version stamp over the answers a rejected issue depends on (see
+    /// [`PrivateCtrl::reject_epoch`]).
+    reject_epoch: u64,
     /// Public counters.
     pub stats: PrivStats,
 }
@@ -110,6 +113,7 @@ impl PrivateCtrl {
             prefetcher: StridePrefetcher::new(cfg.prefetch, cfg.prefetch_degree),
             l1_latency: cfg.l1_latency,
             l2_latency: cfg.l2_latency,
+            reject_epoch: 0,
             stats: PrivStats::default(),
         }
     }
@@ -145,6 +149,47 @@ impl PrivateCtrl {
                 ..
             })
         )
+    }
+
+    /// This controller's reject stamp. It moves only where a rejected
+    /// issue can turn into an accepted one, or a "not owned" answer into
+    /// an owned one:
+    ///
+    /// - [`PrivateCtrl::load`] rejects iff the line is in neither the L2
+    ///   nor the MSHRs and every MSHR is busy;
+    /// - [`PrivateCtrl::ownership`] rejects iff the line is not owned,
+    ///   has no MSHR, and every MSHR is busy;
+    /// - a line becomes L2-resident or owned only when its data arrives.
+    ///
+    /// So the stamp moves when an MSHR is allocated (the line now merges)
+    /// and when a fill arrives (an MSHR frees and the line becomes
+    /// resident, possibly owned). Hits, invalidations, downgrades,
+    /// writeback acks and commit writes leave it alone: they can only
+    /// take lines away. Losing ownership raises a notice, so a memoized
+    /// "owned" answer is the core's to drop, not the stamp's. While the
+    /// stamp is unchanged, a rejection or a "not owned" answer repeats.
+    pub fn reject_epoch(&self) -> u64 {
+        self.reject_epoch
+    }
+
+    /// `true` when an issue for `line` would be MSHR-rejected right now:
+    /// an ownership request when `ownership`, a demand load otherwise. A
+    /// side-effect-free probe that lets callers check a memoized
+    /// rejection against the controller.
+    pub fn would_reject(&self, line: Line, ownership: bool) -> bool {
+        let held = if ownership {
+            self.has_ownership(line)
+        } else {
+            self.l2.contains(line)
+        };
+        !held && !self.mshrs.contains_key(&line) && self.mshrs.len() >= self.mshr_limit
+    }
+
+    /// Allocates the MSHR for `line`. A new MSHR lets a rejected issue
+    /// for `line` merge, so the reject stamp moves.
+    fn alloc_mshr(&mut self, line: Line, m: Mshr) {
+        self.mshrs.insert(line, m);
+        self.reject_epoch += 1;
     }
 
     /// Books `n` MSHR rejections without the probes: the memoized
@@ -213,7 +258,7 @@ impl PrivateCtrl {
         } else {
             self.stats.demand_loads += 1;
             self.stats.misses += 1;
-            self.mshrs.insert(
+            self.alloc_mshr(
                 line,
                 Mshr {
                     pending: Some(Pending::GetS),
@@ -246,7 +291,7 @@ impl PrivateCtrl {
                 continue;
             }
             self.stats.prefetches += 1;
-            self.mshrs.insert(
+            self.alloc_mshr(
                 line,
                 Mshr {
                     pending: Some(Pending::GetS),
@@ -287,7 +332,7 @@ impl PrivateCtrl {
             return None;
         }
         self.stats.ownership_reqs += 1;
-        self.mshrs.insert(
+        self.alloc_mshr(
             line,
             Mshr {
                 pending: Some(Pending::GetM),
@@ -408,6 +453,8 @@ impl PrivateCtrl {
     }
 
     fn on_data(&mut self, line: Line, state: PState, now: Cycle, out: &mut Vec<Action>) {
+        // The line becomes resident (maybe owned) and its MSHR frees.
+        self.reject_epoch += 1;
         self.fill(line, state, now, out);
         let Some(mut m) = self.mshrs.remove(&line) else {
             debug_assert!(false, "data response without MSHR");
@@ -435,7 +482,7 @@ impl PrivateCtrl {
                     now,
                     out,
                 );
-                self.mshrs.insert(line, m);
+                self.alloc_mshr(line, m);
             }
             PState::S => {
                 debug_assert!(m.own_waiters.is_empty(), "own waiters without want_own");
@@ -586,6 +633,77 @@ mod tests {
         assert!(c.load(req(1), ln(1), 0, 64, 0).is_some());
         assert!(c.load(req(2), ln(2), 0, 128, 0).is_none());
         assert_eq!(c.stats.mshr_rejects, 1);
+    }
+
+    /// The reject stamp moves on MSHR allocation and on a fill, and on
+    /// nothing that can only take lines away or touch LRU state.
+    #[test]
+    fn reject_stamp_moves_on_allocation_and_fill_only() {
+        // A one-line L1 so a resident line can also hit in the L2 alone.
+        let mut c = PrivateCtrl::new(
+            CoreId(0),
+            &MemConfig {
+                l1_bytes: 64,
+                l1_assoc: 1,
+                ..cfg()
+            },
+        );
+        let e0 = c.reject_epoch();
+        c.load(req(1), ln(5), 0, 5 * 64, 0).unwrap();
+        let e1 = c.reject_epoch();
+        assert!(e1 > e0, "load miss allocates an MSHR");
+        c.load(req(2), ln(5), 0, 5 * 64, 1).unwrap();
+        assert_eq!(c.reject_epoch(), e1, "merge into the MSHR");
+        c.handle(Msg::DataS { line: ln(5) }, 50);
+        let e2 = c.reject_epoch();
+        assert!(e2 > e1, "fill");
+        c.load(req(3), ln(5), 0, 5 * 64, 60).unwrap();
+        assert_eq!((c.stats.l1_hits, c.reject_epoch()), (1, e2), "L1 hit");
+        c.ownership(req(4), ln(6), 70).unwrap();
+        let e3 = c.reject_epoch();
+        assert!(e3 > e2, "RFO allocates an MSHR");
+        c.handle(Msg::GrantM { line: ln(6) }, 90);
+        let e4 = c.reject_epoch();
+        assert!(e4 > e3, "grant");
+        c.load(req(5), ln(5), 0, 5 * 64, 100).unwrap();
+        assert_eq!((c.stats.l2_hits, c.reject_epoch()), (1, e4), "L2 hit");
+        c.mark_dirty(ln(6));
+        assert_eq!(c.reject_epoch(), e4, "commit write");
+        c.handle(
+            Msg::Inv {
+                line: ln(5),
+                by: CoreId(1),
+            },
+            110,
+        );
+        assert_eq!(c.reject_epoch(), e4, "invalidation");
+        c.handle(
+            Msg::PutMAck {
+                line: ln(6),
+                stale: false,
+            },
+            120,
+        );
+        assert_eq!(c.reject_epoch(), e4, "writeback ack");
+    }
+
+    /// `would_reject` agrees with the issue paths, and a rejection
+    /// leaves the stamp where it was.
+    #[test]
+    fn would_reject_matches_issue_outcome() {
+        let mut c = PrivateCtrl::new(CoreId(0), &MemConfig { mshrs: 1, ..cfg() });
+        c.load(req(1), ln(1), 0, 64, 0).unwrap();
+        assert!(!c.would_reject(ln(1), false), "merges");
+        assert!(!c.would_reject(ln(1), true), "merges");
+        assert!(c.would_reject(ln(2), false));
+        assert!(c.would_reject(ln(2), true));
+        let e = c.reject_epoch();
+        assert!(c.load(req(2), ln(2), 0, 128, 1).is_none());
+        assert!(c.ownership(req(3), ln(2), 1).is_none());
+        assert_eq!(c.reject_epoch(), e, "rejections do not move the stamp");
+        c.handle(Msg::DataS { line: ln(1) }, 50);
+        assert!(!c.would_reject(ln(2), false), "the fill freed the MSHR");
+        assert!(!c.would_reject(ln(1), false), "resident");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use sa_coherence::{
     bank_shard, core_shard, shard_lookahead, MemReqId, MemStats, MemorySystem, NocStats, Notice,
     RemoteEvent,
 };
-use sa_isa::{Addr, CoreId, Cycle, Line, StripedValueMemory, Trace, Value, ValueMemory};
+use sa_isa::{Addr, CoreId, Cycle, Line, StripedValueMemory, Trace, ValueMemory};
 use sa_metrics::{SampleInput, Sampler};
 use sa_ooo::{Core, LoadStorePort};
 use sa_profile::{NullProfiler, Profiler};
@@ -59,6 +59,10 @@ impl LoadStorePort for PortView<'_> {
 
     fn note_rejected_issues(&mut self, n: u64) {
         self.mem.note_rejected_issues(self.core, n);
+    }
+
+    fn would_reject(&self, line: Line, ownership: bool) -> bool {
+        self.mem.would_reject(self.core, line, ownership)
     }
 }
 
@@ -206,20 +210,10 @@ impl<T: Tracer, P: Profiler> Multicore<T, P> {
         &self.tracer
     }
 
-    /// Mutable access to the attached tracer (e.g. to drain mid-run).
-    pub fn tracer_mut(&mut self) -> &mut T {
-        &mut self.tracer
-    }
-
     /// Consumes the machine and returns the tracer with everything it
     /// recorded.
     pub fn into_tracer(self) -> T {
         self.tracer
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
     }
 
     /// Current cycle.
@@ -237,11 +231,6 @@ impl<T: Tracer, P: Profiler> Multicore<T, P> {
         &self.valmem
     }
 
-    /// Pre-initializes a memory word before the run starts.
-    pub fn poke(&mut self, addr: Addr, size: u8, value: Value) {
-        self.valmem.write(addr, size, value);
-    }
-
     /// `true` once every core finished its trace.
     pub fn finished(&self) -> bool {
         self.cores.iter().all(Core::finished)
@@ -249,7 +238,7 @@ impl<T: Tracer, P: Profiler> Multicore<T, P> {
 
     /// Simulates one global cycle, returning how many instructions
     /// retired machine-wide during it.
-    pub fn step(&mut self) -> u64 {
+    fn step(&mut self) -> u64 {
         {
             let _p = P::span("memsys");
             self.mem
@@ -926,8 +915,8 @@ fn idle_cycles(core: &mut Core, mem: &mut MemorySystem, id: CoreId, n: u64) {
 /// `true` when a sleeping core that books memoized re-rejections must
 /// wake: its reject stamp moved off `stamp`, the value it fell asleep
 /// at, so a retry may now be accepted. Every move while it sleeps is a
-/// delivery to its controller, a queued event, so a jump never steps
-/// over one.
+/// fill delivered to its controller, a queued event, so a jump never
+/// steps over one.
 fn reject_memo_moved(core: &Core, mem: &MemorySystem, id: CoreId, stamp: u64) -> bool {
     core.idle_rejects() > 0 && mem.reject_epoch(id) != stamp
 }
@@ -1228,17 +1217,6 @@ mod tests {
         let mut sim = Multicore::new(cfg, vec![p.build(), c.build()]);
         sim.run(1_000_000).unwrap();
         assert_eq!(sim.core(CoreId(1)).arch_reg(Reg::new(1)), 123);
-    }
-
-    #[test]
-    fn poke_preinitializes_memory() {
-        let mut b = TraceBuilder::new();
-        b.load(Reg::new(0), 0x8000);
-        let cfg = SimConfig::default().with_cores(1);
-        let mut sim = Multicore::new(cfg, vec![b.build()]);
-        sim.poke(0x8000, 8, 77);
-        sim.run(1_000_000).unwrap();
-        assert_eq!(sim.core(CoreId(0)).arch_reg(Reg::new(0)), 77);
     }
 
     #[test]

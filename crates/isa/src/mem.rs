@@ -126,7 +126,7 @@ impl StripedValueMemory {
         ((word >> 3) as usize) & (VALUE_STRIPES - 1)
     }
 
-    /// Splits `mem` (e.g. a poked pre-run image) into stripes.
+    /// Splits `mem` (the value image at the start of a run) into stripes.
     pub fn from_value_memory(mem: ValueMemory) -> StripedValueMemory {
         let mut stripes: Vec<FastMap<Addr, Value>> =
             (0..VALUE_STRIPES).map(|_| FastMap::default()).collect();

@@ -89,6 +89,39 @@ enum DispatchStall {
     Sq,
 }
 
+/// What the blocked-load retry pass does with one blocked load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Retry {
+    /// Its retry would re-block identically and change nothing: skip it.
+    Skip,
+    /// Its retry would be MSHR-rejected again: book the rejection.
+    Memo,
+    /// Run the load state machine.
+    Run,
+}
+
+/// Everything the blocked-load retry pass reads that can change between
+/// two passes. A pass that leaves it where it found it only had loads
+/// rejected or re-blocked as they were; while it stays unchanged, the
+/// next pass would run no load and book one memoized rejection for each
+/// rejection of that pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RetryKey {
+    /// Which loads are blocked and why (the LQ's blocked-set generation).
+    blocked_gen: u64,
+    /// Re-opens loads blocked on a fence, a StoreSet conflict or a store.
+    lsq_epoch: u64,
+    /// Re-opens `MshrFull` loads' forwarding search.
+    miss_epoch: u64,
+    /// The port's reject stamp (pins `MshrFull` rejections).
+    stamp: Option<u64>,
+    /// Store data captures (re-open `ForwardData` loads).
+    data_captures: u64,
+    /// Pass 1 left a load port: with none, the pass stops at its first
+    /// load that is not skipped.
+    load_port_left: bool,
+}
+
 /// What one [`Core::tick`] did, reported to the simulation engine.
 #[derive(Debug, Clone, Copy)]
 pub struct TickResult {
@@ -128,11 +161,29 @@ pub struct Core {
     gate_stall_cur: Option<RobIdx>,
     /// Loads currently in a Blocked state (gates the retry pass).
     blocked_loads: usize,
-    /// Bumped whenever state a blocked load's retry reads changes (store
-    /// address resolution, SB commit, fence retire, squash, StoreSet
-    /// training). While unchanged, a blocked load re-blocks identically,
-    /// so its retry is skipped (see the LQ's `attempt_epoch` column).
+    /// Bumped whenever state a load blocked on a fence, a StoreSet
+    /// conflict or a store reads changes (store address resolution, SB
+    /// commit, fence retire, squash, StoreSet training). While unchanged,
+    /// such a load re-blocks identically, so its retry is skipped (see
+    /// the LQ's `attempt_epoch` column).
     lsq_epoch: u64,
+    /// The epoch of `MshrFull` loads: bumped only by store address
+    /// resolution (which also carries StoreSet training) and squash. An
+    /// `MshrFull` load passed the fence check, the StoreSet check and
+    /// missed the forwarding search; an SB commit (it pops an older,
+    /// resolved, non-matching store) or a fence retire (no fence is
+    /// older than the load) cannot change any of those outcomes, so
+    /// while this epoch holds a retry only re-runs the memory issue.
+    miss_epoch: u64,
+    /// Store data captures so far: moves when a store a `ForwardData`
+    /// load waits on may have received its data.
+    data_captures: u64,
+    /// Quiescence memo of the blocked-load retry pass: the key of the
+    /// last pass when that pass left it unchanged, `None` otherwise.
+    retry_sleep: Option<RetryKey>,
+    /// Rejections, memoized or real, of the last retry pass; a pass
+    /// skipped by `retry_sleep` books as many memoized ones.
+    retry_rejects: u64,
     /// Positions below this in the ROB are all `Done` — the scheduler
     /// scan starts here. A lower bound: refreshed lazily each tick,
     /// shifted on retire, clamped on squash.
@@ -171,8 +222,8 @@ pub struct Core {
     rfo_owned: Vec<bool>,
     /// Per-SQ-slot memo: the port's [`reject_epoch`] stamp captured when
     /// `has_ownership` last returned false for this store's line. While
-    /// the stamp is unchanged, ownership cannot have been acquired (every
-    /// acquisition path is a stamped controller mutation), so the probe
+    /// the stamp is unchanged, ownership cannot have been acquired (only
+    /// a fill grants it, and a fill moves the stamp), so the probe
     /// is skipped. `u64::MAX` = no probe recorded.
     ///
     /// [`reject_epoch`]: LoadStorePort::reject_epoch
@@ -192,11 +243,15 @@ pub struct Core {
     /// [`drain_stores`]: Core::drain_stores
     sq_dirty: bool,
     /// The last full drain was inert: no commit finished or started and
-    /// no issue attempt was made (real or memoized). Together with a
-    /// clean [`sq_dirty`](Core::sq_dirty), an unchanged memory stamp,
-    /// and `now` short of [`drain_wake`](Core::drain_wake), the next
-    /// drain is provably identical and is skipped outright.
+    /// no issue was accepted; its issues, if any, were rejected. Together
+    /// with a clean [`sq_dirty`](Core::sq_dirty), an unchanged memory
+    /// stamp, and `now` short of [`drain_wake`](Core::drain_wake), the
+    /// next drain is provably identical but for its rejections all being
+    /// memoized, so it is skipped and only books
+    /// [`drain_rejects`](Core::drain_rejects).
     drain_sleep: bool,
+    /// Rejections, memoized or real, of the last full drain.
+    drain_rejects: u64,
     /// The port's `reject_epoch` stamp at the end of the last full drain
     /// (`has_ownership` outcomes are pinned while it is unchanged).
     drain_mem_stamp: u64,
@@ -232,6 +287,10 @@ impl Core {
             gate_stall_cur: None,
             blocked_loads: 0,
             lsq_epoch: 0,
+            miss_epoch: 0,
+            data_captures: 0,
+            retry_sleep: None,
+            retry_rejects: 0,
             sched_start: 0,
             resume_was_squash: false,
             progress: false,
@@ -246,6 +305,7 @@ impl Core {
             sq_own_reject_stamp: vec![u64::MAX; cfg.sq_sb_entries],
             sq_dirty: true,
             drain_sleep: false,
+            drain_rejects: 0,
             drain_mem_stamp: 0,
             drain_wake: 0,
             stats: CoreStats::default(),
@@ -477,9 +537,14 @@ impl Core {
         tracer: &mut T,
     ) {
         let cid = self.id;
-        if !notices.is_empty() {
-            // Notices can clear `own_req`/`rfo_owned` or squash stores
-            // without a memory-stamp bump visible to this core's drain.
+        if notices
+            .iter()
+            .any(|n| !matches!(n.kind, NoticeKind::LoadDone { .. }))
+        {
+            // Ownership grants and losses clear `own_req`/`rfo_owned`, and
+            // snoops may squash stores, without a memory-stamp move
+            // visible to this core's drain. A load completion changes
+            // nothing the drain reads.
             self.sq_dirty = true;
         }
         for n in notices {
@@ -682,21 +747,28 @@ impl Core {
         if self.sq.is_empty() {
             return;
         }
-        // Quiescence memo: the last full drain did nothing, the SQ is
-        // untouched since, ownership state is pinned by the unchanged
-        // memory stamp, and no in-flight commit has come due — so this
-        // drain would scan and do nothing too. Skip it.
-        if self.drain_sleep
+        // Quiescence memo: the last full drain did nothing but have
+        // issues rejected (each one now memoized), the SQ is untouched
+        // since, ownership answers are pinned by the unchanged memory
+        // stamp, and no in-flight commit has come due — so this drain
+        // would book as many memoized rejections and do nothing else.
+        // Book them and skip it. Debug builds run it anyway and check
+        // that claim below.
+        let asleep = self.drain_sleep
             && !self.sq_dirty
             && now < self.drain_wake
-            && mem.reject_epoch() == Some(self.drain_mem_stamp)
-        {
+            && mem.reject_epoch() == Some(self.drain_mem_stamp);
+        if asleep && !cfg!(debug_assertions) {
+            self.book_memo_rejects(mem, self.drain_rejects);
             return;
         }
-        // Anything that finishes, starts, or issues below clears
-        // quiescence (a rejected issue mutates the memory system every
-        // cycle, so it must replay — only a pure scan may sleep).
+        // Anything that finishes or starts a commit, or has an issue
+        // accepted, clears quiescence. A rejection does not: a memoized
+        // one changes no core state, a real one only records the reject
+        // stamp that memoizes it next time, and a sleeping drain
+        // re-books both.
         let mut active = false;
+        let (mut memo_rejects, mut real_rejects) = (0u64, 0u64);
         let cid = self.id;
         // Finish completed commits, strictly in program order (commits
         // start in order with a uniform latency, so done-times are
@@ -796,6 +868,10 @@ impl Core {
         if let Some((slot, line, no_req)) = start {
             let stamp = mem.reject_epoch();
             let known_unowned = stamp.is_some() && stamp == Some(self.sq_unowned_stamp[slot]);
+            debug_assert!(
+                !known_unowned || !mem.has_ownership(line),
+                "unsound not-owned memo"
+            );
             if !known_unowned && mem.has_ownership(line) {
                 self.progress = true;
                 active = true;
@@ -808,17 +884,17 @@ impl Core {
                     self.sq_unowned_stamp[slot] = e;
                 }
                 if no_req {
-                    // Every issue attempt keeps the drain awake: even a
-                    // rejected one mutates the memory system (request ids,
-                    // MSHR-reject counters) and must be booked each cycle.
-                    // A memoized re-rejection changes nothing else, so it
-                    // is not progress (see `idle_rejects`).
-                    active = true;
+                    // A memoized re-rejection changes nothing but the
+                    // memory system's request ids and reject counter, so
+                    // it is not progress (see `idle_rejects`).
                     if stamp.is_some() && stamp == Some(self.sq_own_reject_stamp[slot]) {
+                        debug_assert!(mem.would_reject(line, true), "unsound RFO reject memo");
+                        memo_rejects += 1;
                         self.book_memo_rejects(mem, 1);
                     } else {
                         self.progress = true;
                         if let Some(req) = mem.issue_ownership(line, now) {
+                            active = true;
                             self.sq.own_req[slot] = Some(req);
                             self.pending_owns.insert(req, self.sq.idx_at_slot(slot));
                             tracer.emit(|| TraceEvent {
@@ -830,8 +906,11 @@ impl Core {
                                     rfo: true,
                                 },
                             });
-                        } else if let Some(e) = stamp {
-                            self.sq_own_reject_stamp[slot] = e;
+                        } else {
+                            real_rejects += 1;
+                            if let Some(e) = stamp {
+                                self.sq_own_reject_stamp[slot] = e;
+                            }
                         }
                     }
                 }
@@ -861,23 +940,26 @@ impl Core {
                 continue;
             }
             let line = self.sq.line[s];
-            // Re-read per slot: an accepted issue below bumps the stamp.
+            // Re-read per slot: an accepted issue below may move the stamp.
             let stamp = mem.reject_epoch();
             if stamp.is_some() && stamp == Some(self.sq_unowned_stamp[s]) {
                 // Pinned-unowned: the probe would return false again.
+                debug_assert!(!mem.has_ownership(line), "unsound not-owned memo");
             } else if mem.has_ownership(line) {
                 self.rfo_owned[s] = true;
                 continue;
             } else if let Some(e) = stamp {
                 self.sq_unowned_stamp[s] = e;
             }
-            active = true; // issue attempt (see above)
             if stamp.is_some() && stamp == Some(self.sq_own_reject_stamp[s]) {
+                debug_assert!(mem.would_reject(line, true), "unsound RFO reject memo");
+                memo_rejects += 1;
                 self.book_memo_rejects(mem, 1);
                 continue;
             }
             self.progress = true;
             if let Some(req) = mem.issue_ownership(line, now) {
+                active = true;
                 self.sq.own_req[s] = Some(req);
                 self.pending_owns.insert(req, self.sq.idx_at_slot(s));
                 rfos += 1;
@@ -890,15 +972,23 @@ impl Core {
                         rfo: true,
                     },
                 });
-            } else if let Some(e) = stamp {
-                self.sq_own_reject_stamp[s] = e;
+            } else {
+                real_rejects += 1;
+                if let Some(e) = stamp {
+                    self.sq_own_reject_stamp[s] = e;
+                }
             }
         }
+        debug_assert!(
+            !asleep || (!active && real_rejects == 0 && memo_rejects == self.drain_rejects),
+            "a sleeping store drain would have changed its outcome"
+        );
         // Record quiescence for the memo at the top: this drain's scan
         // outcome stays valid until the SQ changes, the memory stamp
         // moves, or the in-flight head commit comes due.
         self.sq_dirty = false;
         self.drain_sleep = !active;
+        self.drain_rejects = memo_rejects + real_rejects;
         self.drain_mem_stamp = mem.reject_epoch().unwrap_or(0);
         self.drain_wake = self
             .sq
@@ -1314,6 +1404,7 @@ impl Core {
                     if self.sq.value[ss].is_none() && ready[0] {
                         let v = self.read_src(slot, 0);
                         self.sq.value[ss] = Some(v);
+                        self.data_captures += 1;
                         self.sq_dirty = true;
                         progressed = true;
                     }
@@ -1354,92 +1445,157 @@ impl Core {
             }
         }
 
-        // Pass 2: retry blocked loads (their wake conditions are events
-        // in the SQ/SB or the memory system). Gated on a counter so the
-        // common no-blocked-loads case costs nothing. A load whose retry
-        // provably re-blocks identically — LSQ epoch unchanged since it
-        // blocked, no rejected memory issue to replay, no forwarding data
-        // that just arrived — is skipped outright; a skipped retry has no
-        // side effects, so the skip is invisible to the simulation.
         drop(sched_span);
         if self.blocked_loads > 0 {
             let _p = P::span("lsq_retry");
-            let mut blocked = std::mem::take(&mut self.blocked_scratch);
-            self.lq.blocked_slots(&mut blocked);
-            let epoch = self.lsq_epoch;
-            // Filter and execute in one pass: a retry never changes the
-            // take-decision inputs of a *different* blocked entry (the
-            // LSQ epoch and SQ data columns are untouched here), so
-            // deciding each entry just before running it matches the
-            // two-pass filter-then-run order exactly. Memoized MSHR
-            // re-rejections are booked in batches: their ids are
-            // order-insensitive among themselves, so deferring a run of
-            // them until the next real issue (or the end of the pass)
-            // books the same ids at the same sequence positions.
-            let mut pending_rejects: u64 = 0;
-            for &slot in &blocked {
-                let s = slot as usize;
-                let take = match self.lq.state_at(s) {
-                    // A rejected issue mutates the memory system
-                    // (request id, reject counter): a retry the memo
-                    // answers is booked, never skipped.
-                    LoadState::Blocked(BlockReason::MshrFull) => {
-                        if load_ports == 0 {
-                            break;
-                        }
-                        if self.mshr_reject_memoized(s, mem) {
-                            pending_rejects += 1;
-                            continue;
-                        }
-                        true
-                    }
-                    // A snoop-killed in-flight load re-executes
-                    // unconditionally too — its wake event (the
-                    // invalidation) already happened.
-                    LoadState::Blocked(BlockReason::Replay) => true,
-                    LoadState::Blocked(BlockReason::ForwardData(st)) => {
-                        self.lq.attempt_epoch[s] != epoch
-                            || self
-                                .sq
-                                .live_slot(st)
-                                .is_some_and(|x| self.sq.value[x].is_some())
-                    }
-                    LoadState::Blocked(_) => self.lq.attempt_epoch[s] != epoch,
-                    _ => unreachable!("blocked bitset holds only Blocked entries"),
-                };
-                if !take {
-                    continue;
-                }
-                if load_ports == 0 {
-                    break;
-                }
-                if pending_rejects > 0 {
-                    self.book_memo_rejects(mem, pending_rejects);
-                    pending_rejects = 0;
-                }
-                let lqi = LqIdx {
-                    seq: self.lq.seq[s],
-                    slot,
-                };
-                let rid = self.lq.rob[s];
-                if self.try_execute_load::<M, T, P>(lqi, now, mem, tracer) {
-                    load_ports -= 1;
-                    tracer.emit(|| TraceEvent {
-                        cycle: now,
-                        core: cid,
-                        kind: EventKind::Issue { rob: rid.seq },
-                    });
+            self.retry_blocked::<M, T, P>(now, mem, load_ports, tracer);
+        }
+    }
+
+    /// Pass 2 of [`Core::schedule`]: retry blocked loads (their wake
+    /// conditions are events in the SQ/SB or the memory system), oldest
+    /// first, with the load ports pass 1 left. Gated on a counter so the
+    /// common no-blocked-loads case costs nothing. A load whose retry
+    /// provably re-blocks identically is skipped, and one provably
+    /// MSHR-rejected again is booked without the issue path (see
+    /// [`Core::retry_verdict`]); neither has any other side effect, so
+    /// both are invisible to the simulation.
+    ///
+    /// A pass that leaves its [`RetryKey`] where it found it is
+    /// quiescent: every load it ran re-blocked as it was (a real MSHR
+    /// rejection, or the same block reason under the current epochs), so
+    /// the next pass under that key would skip each load or answer it
+    /// from the reject memo. While the key holds, that pass is skipped
+    /// and books one memoized rejection for each rejection, memoized or
+    /// real, of the quiescent pass. Debug builds run it anyway and check
+    /// that it would have run no load and booked that count.
+    fn retry_blocked<M: LoadStorePort, T: Tracer, P: Profiler>(
+        &mut self,
+        now: Cycle,
+        mem: &mut M,
+        mut load_ports: usize,
+        tracer: &mut T,
+    ) {
+        let key = RetryKey {
+            blocked_gen: self.lq.blocked_gen(),
+            lsq_epoch: self.lsq_epoch,
+            miss_epoch: self.miss_epoch,
+            stamp: mem.reject_epoch(),
+            data_captures: self.data_captures,
+            load_port_left: load_ports > 0,
+        };
+        let asleep = self.retry_sleep == Some(key);
+        if asleep && !cfg!(debug_assertions) {
+            self.book_memo_rejects(mem, self.retry_rejects);
+            return;
+        }
+        let cid = self.id;
+        let mut blocked = std::mem::take(&mut self.blocked_scratch);
+        self.lq.blocked_slots(&mut blocked);
+        // Decide each entry just before running it. A retry leaves the
+        // epochs and SQ data columns untouched, so the only verdict input
+        // of a *different* entry it can change is the reject stamp (an
+        // accepted issue moves it), which each verdict re-reads. Memoized
+        // MSHR re-rejections are booked in batches:
+        // their ids are order-insensitive among themselves, so deferring
+        // a run of them until the next real issue (or the end of the
+        // pass) books the same ids at the same sequence positions.
+        let mut pending_rejects: u64 = 0;
+        let mut memo_rejects: u64 = 0;
+        let mut real_rejects: u64 = 0;
+        let mut ran = false;
+        for &slot in &blocked {
+            let s = slot as usize;
+            let verdict = self.retry_verdict(s, mem);
+            if verdict == Retry::Skip {
+                continue;
+            }
+            if load_ports == 0 {
+                break;
+            }
+            if verdict == Retry::Memo {
+                debug_assert!(
+                    mem.would_reject(self.lq.line[s], false),
+                    "unsound load reject memo"
+                );
+                pending_rejects += 1;
+                memo_rejects += 1;
+                continue;
+            }
+            ran = true;
+            self.book_memo_rejects(mem, pending_rejects);
+            pending_rejects = 0;
+            let lqi = LqIdx {
+                seq: self.lq.seq[s],
+                slot,
+            };
+            let rid = self.lq.rob[s];
+            if self.try_execute_load::<M, T, P>(lqi, now, mem, tracer) {
+                load_ports -= 1;
+                tracer.emit(|| TraceEvent {
+                    cycle: now,
+                    core: cid,
+                    kind: EventKind::Issue { rob: rid.seq },
+                });
+            } else if self.lq.state_at(s) == LoadState::Blocked(BlockReason::MshrFull) {
+                real_rejects += 1;
+            }
+        }
+        self.book_memo_rejects(mem, pending_rejects);
+        self.blocked_scratch = blocked;
+        debug_assert!(
+            !asleep || (!ran && memo_rejects == self.retry_rejects),
+            "a sleeping retry pass would have changed its outcome"
+        );
+        // Nothing here moves the epochs or the capture count, and the
+        // port flag only falls when a load issues (which moves the
+        // blocked generation), so the generation and the stamp decide.
+        // A real rejection is memoized next time only if the port keeps
+        // a stamp.
+        let quiet = self.lq.blocked_gen() == key.blocked_gen
+            && mem.reject_epoch() == key.stamp
+            && (real_rejects == 0 || key.stamp.is_some());
+        self.retry_sleep = quiet.then_some(key);
+        self.retry_rejects = memo_rejects + real_rejects;
+    }
+
+    /// What the retry pass does with the blocked load in LQ slot `s`.
+    fn retry_verdict<M: LoadStorePort>(&self, s: usize, mem: &M) -> Retry {
+        let attempt = self.lq.attempt_epoch[s];
+        let reopened = |open: bool| if open { Retry::Run } else { Retry::Skip };
+        match self.lq.state_at(s) {
+            // A rejected issue mutates the memory system (request id,
+            // reject counter): a retry the memo answers is booked, never
+            // skipped. The memo holds while the miss epoch (the retry
+            // would reach the same memory issue) and the port's reject
+            // stamp (the issue would be rejected) are where the
+            // rejection recorded them.
+            LoadState::Blocked(BlockReason::MshrFull) => {
+                if attempt == self.miss_epoch && mem.reject_epoch() == Some(self.lq.reject_stamp[s])
+                {
+                    Retry::Memo
+                } else {
+                    Retry::Run
                 }
             }
-            if pending_rejects > 0 {
-                self.book_memo_rejects(mem, pending_rejects);
-            }
-            self.blocked_scratch = blocked;
+            // A snoop-killed in-flight load re-executes unconditionally:
+            // its wake event (the invalidation) already happened.
+            LoadState::Blocked(BlockReason::Replay) => Retry::Run,
+            LoadState::Blocked(BlockReason::ForwardData(st)) => reopened(
+                attempt != self.lsq_epoch
+                    || self
+                        .sq
+                        .live_slot(st)
+                        .is_some_and(|x| self.sq.value[x].is_some()),
+            ),
+            LoadState::Blocked(_) => reopened(attempt != self.lsq_epoch),
+            _ => unreachable!("blocked bitset holds only Blocked entries"),
         }
     }
 
     fn resolve_store_addr<T: Tracer>(&mut self, sq: SqIdx, now: Cycle, tracer: &mut T) {
         self.lsq_epoch += 1;
+        self.miss_epoch += 1;
         self.sq_dirty = true;
         let sslot = self.sq.live_slot(sq).expect("resolving store");
         self.sq.resolve_addr_at(sslot);
@@ -1481,23 +1637,14 @@ impl Core {
         }
     }
 
-    /// `true` when a retry of the load in LQ slot `s` is known to be
-    /// MSHR-rejected again: it is blocked `MshrFull`, the LSQ epoch has
-    /// not moved since it blocked (so the retry would reach the same
-    /// memory issue), and the port's reject stamp is still the one its
-    /// rejection recorded. The one memo test for both the retry pass's
-    /// filter and [`Core::try_execute_load`].
-    fn mshr_reject_memoized<M: LoadStorePort>(&self, s: usize, mem: &M) -> bool {
-        self.lq.state_at(s) == LoadState::Blocked(BlockReason::MshrFull)
-            && self.lq.attempt_epoch[s] == self.lsq_epoch
-            && mem.reject_epoch() == Some(self.lq.reject_stamp[s])
-    }
-
     /// Books `n` memoized MSHR re-rejections: their memory-side effects
     /// now, and their count for [`Core::idle_rejects`]. Not progress.
+    /// Booking none is a no-op, also on ports that keep no reject stamp.
     fn book_memo_rejects<M: LoadStorePort>(&mut self, mem: &mut M, n: u64) {
-        mem.note_rejected_issues(n);
-        self.idle_rejects += n;
+        if n > 0 {
+            mem.note_rejected_issues(n);
+            self.idle_rejects += n;
+        }
     }
 
     /// Runs the load state machine; returns `true` when a port was
@@ -1512,13 +1659,6 @@ impl Core {
         let slot = self.lq.live_slot(lqi).expect("load in LQ");
         let prev_state = self.lq.state_at(slot);
         let attempt_epoch = self.lq.attempt_epoch[slot];
-        // Cheapest exit first: a memoized re-rejection needs no other
-        // column (see below) — book it before touching the rest of the
-        // entry's cache lines.
-        if self.mshr_reject_memoized(slot, mem) {
-            self.book_memo_rejects(mem, 1);
-            return false;
-        }
         let id = self.lq.rob[slot];
         let pc = self.lq.pc[slot];
         let addr = self.lq.addr[slot];
@@ -1537,15 +1677,19 @@ impl Core {
                 core.progress = true;
             }
             core.lq.set_state_at(slot, LoadState::Blocked(reason));
-            core.lq.attempt_epoch[slot] = core.lsq_epoch;
+            core.lq.attempt_epoch[slot] = if reason == BlockReason::MshrFull {
+                core.miss_epoch
+            } else {
+                core.lsq_epoch
+            };
         };
 
-        // Fast path: an `MshrFull` retry under an unchanged LSQ epoch
+        // Fast path: an `MshrFull` retry under an unchanged miss epoch
         // would reproduce the same fence/StoreSet/forwarding-search miss,
-        // so only the memory issue is re-run (the reject stamp moved, so
-        // the memo above could not answer it).
+        // so only the memory issue is re-run (the reject stamp moved, or
+        // the retry pass's memo would have answered it).
         if prev_state == LoadState::Blocked(BlockReason::MshrFull)
-            && attempt_epoch == self.lsq_epoch
+            && attempt_epoch == self.miss_epoch
         {
             return match mem.issue_load(line, pc, addr, now) {
                 Some(req) => {
@@ -1973,6 +2117,7 @@ impl Core {
         debug_assert!(n_removed > 0);
         self.sched_start = self.sched_start.min(self.rob.len());
         self.lsq_epoch += 1;
+        self.miss_epoch += 1;
         self.sq_dirty = true;
         self.progress = true;
         self.stats.record_squash(cause, n_removed);
@@ -2045,5 +2190,156 @@ impl Core {
     /// Test/diagnostic hook: occupancy of the three window resources.
     pub fn occupancy(&self) -> (usize, usize, usize) {
         (self.rob.len(), self.lq.len(), self.sq.len())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::port::SimpleMem;
+    use sa_isa::{Addr, ExecUnit, TraceBuilder, ValueMemory};
+    use sa_trace::NullTracer;
+
+    const A: Addr = 0x1000;
+    const B: Addr = 0x2000;
+
+    /// A port whose MSHRs never free: every load is rejected, and the
+    /// port counts real issues apart from memoized ones. Ownership
+    /// requests go to a [`SimpleMem`] and are granted; the reject stamp
+    /// moves when a grant takes effect, as a fill moves a real
+    /// controller's stamp.
+    struct Starved {
+        inner: SimpleMem,
+        stamp: u64,
+        real_loads: u64,
+        memo_rejects: u64,
+    }
+
+    impl Starved {
+        fn new() -> Starved {
+            Starved {
+                inner: SimpleMem::new(4, 10),
+                stamp: 0,
+                real_loads: 0,
+                memo_rejects: 0,
+            }
+        }
+
+        fn take_due(&mut self, now: Cycle) -> Vec<Notice> {
+            let due = self.inner.take_due(now);
+            if due
+                .iter()
+                .any(|n| matches!(n.kind, NoticeKind::OwnershipDone { .. }))
+            {
+                self.stamp += 1;
+            }
+            due
+        }
+    }
+
+    impl LoadStorePort for Starved {
+        fn issue_load(&mut self, _: Line, _: u64, _: Addr, _: Cycle) -> Option<MemReqId> {
+            self.real_loads += 1;
+            None
+        }
+
+        fn issue_ownership(&mut self, line: Line, now: Cycle) -> Option<MemReqId> {
+            self.inner.issue_ownership(line, now)
+        }
+
+        fn has_ownership(&self, line: Line) -> bool {
+            self.inner.has_ownership(line)
+        }
+
+        fn mark_dirty(&mut self, _: Line) {}
+
+        fn l1_latency(&self) -> u64 {
+            self.inner.l1_latency()
+        }
+
+        fn reject_epoch(&self) -> Option<u64> {
+            Some(self.stamp)
+        }
+
+        fn note_rejected_issues(&mut self, n: u64) {
+            self.memo_rejects += n;
+        }
+
+        fn would_reject(&self, _: Line, ownership: bool) -> bool {
+            !ownership
+        }
+    }
+
+    fn core(trace: Trace) -> Core {
+        Core::new(
+            CoreId(0),
+            CoreConfig::default(),
+            ConsistencyModel::X86,
+            trace,
+        )
+    }
+
+    fn tick(core: &mut Core, mem: &mut Starved, valmem: &mut ValueMemory, t: Cycle) {
+        let notices = mem.take_due(t);
+        core.tick(t, mem, valmem, &notices, &mut NullTracer);
+    }
+
+    /// An SB commit pops an older, resolved store the load's forwarding
+    /// search already missed: it moves the LSQ epoch but leaves the
+    /// `MshrFull` load's memo valid, so the retry stays memoized.
+    #[test]
+    fn sb_commit_leaves_mshr_full_memo_valid() {
+        let mut b = TraceBuilder::new();
+        b.store_imm(A, 1);
+        b.load(Reg::new(1), B);
+        let mut core = core(b.build());
+        let (mut mem, mut valmem) = (Starved::new(), ValueMemory::new());
+        let mut t = 0;
+        while core.stats.sb_commits == 0 {
+            assert!(t < 1_000, "the store never committed");
+            let (real, epoch) = (mem.real_loads, core.lsq_epoch);
+            tick(&mut core, &mut mem, &mut valmem, t);
+            t += 1;
+            if core.stats.sb_commits == 1 {
+                assert!(core.lsq_epoch > epoch, "the commit moved the LSQ epoch");
+                assert!(real > 0, "the load was rejected before the commit");
+                assert_eq!(mem.real_loads, real, "the commit re-ran the load's issue");
+            }
+        }
+        let (real, memo) = (mem.real_loads, mem.memo_rejects);
+        for _ in 0..20 {
+            tick(&mut core, &mut mem, &mut valmem, t);
+            t += 1;
+        }
+        assert_eq!(mem.real_loads, real);
+        assert_eq!(
+            mem.memo_rejects,
+            memo + 20,
+            "one memoized rejection a cycle"
+        );
+    }
+
+    /// An older store's address resolution can turn the load's search
+    /// miss into a forward (and carries StoreSet training), so it moves
+    /// the miss epoch and the next retry runs the whole load path.
+    #[test]
+    fn older_store_address_resolution_reopens_mshr_full_load() {
+        let mut b = TraceBuilder::new();
+        b.alu(ExecUnit::IntDiv, Some(Reg::new(2)), [None, None]);
+        b.store_imm_dep(A, 1, Reg::new(2));
+        b.load(Reg::new(1), B);
+        let mut core = core(b.build());
+        let (mut mem, mut valmem) = (Starved::new(), ValueMemory::new());
+        let mut t = 0;
+        let (mut real, mut memo) = (0, 0);
+        while core.miss_epoch == 0 {
+            assert!(t < 1_000, "the store never resolved");
+            (real, memo) = (mem.real_loads, mem.memo_rejects);
+            tick(&mut core, &mut mem, &mut valmem, t);
+            t += 1;
+        }
+        assert_eq!(real, 1, "rejected once before the store resolved");
+        assert!(memo > 0, "and memoized until then");
+        assert_eq!(mem.real_loads, 2, "the resolution re-ran the load's issue");
     }
 }

@@ -94,6 +94,8 @@ pub struct LoadQueue {
     slf_key: Vec<Option<Key>>,
     pub(crate) m_spec: Vec<bool>,
     pub(crate) d_spec: Vec<bool>,
+    /// The epoch the load last blocked under: the core's miss epoch
+    /// when blocked `MshrFull`, its LSQ epoch otherwise.
     pub(crate) attempt_epoch: Vec<u64>,
     pub(crate) miss_passed_unresolved: Vec<bool>,
     /// Memory-side version stamp captured when this load's issue was
@@ -109,6 +111,11 @@ pub struct LoadQueue {
     /// [`LoadState::Blocked`]. The per-cycle retry pass word-scans this
     /// instead of reading every live entry's state.
     blocked: Vec<u64>,
+    /// Moves whenever the set of blocked entries or the reason of one
+    /// changes: a slot enters or leaves [`LoadState::Blocked`], re-blocks
+    /// for another reason, or is dropped while blocked. The retry pass's
+    /// quiescence key (see `Core::retry_blocked`).
+    blocked_gen: u64,
 }
 
 impl LoadQueue {
@@ -140,6 +147,7 @@ impl LoadQueue {
             reject_stamp: vec![0; phys],
             performed: vec![0; phys / 64],
             blocked: vec![0; phys / 64],
+            blocked_gen: 0,
         }
     }
 
@@ -242,6 +250,11 @@ impl LoadQueue {
     /// bitset.
     #[inline]
     pub(crate) fn set_state_at(&mut self, slot: usize, s: LoadState) {
+        let old = self.state[slot];
+        if old != s && (matches!(old, LoadState::Blocked(_)) || matches!(s, LoadState::Blocked(_)))
+        {
+            self.blocked_gen += 1;
+        }
         self.state[slot] = s;
         let bit = 1u64 << (slot % 64);
         if s == LoadState::Performed {
@@ -254,6 +267,11 @@ impl LoadQueue {
         } else {
             self.blocked[slot / 64] &= !bit;
         }
+    }
+
+    /// The blocked-set generation (see the `blocked_gen` field).
+    pub(crate) fn blocked_gen(&self) -> u64 {
+        self.blocked_gen
     }
 
     /// Collects (into `out`) the physical slots of all `Blocked` live
@@ -343,8 +361,12 @@ impl LoadQueue {
 
     /// Clears the bitset/counter state of a slot leaving the queue.
     fn free_slot(&mut self, slot: usize) {
-        self.performed[slot / 64] &= !(1u64 << (slot % 64));
-        self.blocked[slot / 64] &= !(1u64 << (slot % 64));
+        let bit = 1u64 << (slot % 64);
+        if self.blocked[slot / 64] & bit != 0 {
+            self.blocked_gen += 1;
+        }
+        self.performed[slot / 64] &= !bit;
+        self.blocked[slot / 64] &= !bit;
         if self.slf_key[slot].take().is_some() {
             self.slf_live -= 1;
         }
@@ -539,6 +561,42 @@ mod tests {
         let mut q = LoadQueue::new(1);
         q.alloc(rid(1), 0, 0x100, 8);
         q.alloc(rid(2), 0, 0x108, 8);
+    }
+
+    /// The retry pass's quiescence key must move exactly when the set of
+    /// blocked loads or a blocked load's reason changes.
+    #[test]
+    fn blocked_gen_moves_on_blocked_set_changes_only() {
+        let mut q = lq();
+        let a = q.alloc(rid(1), 0, 0x100, 8);
+        let b = q.alloc(rid(2), 0, 0x108, 8);
+        let c = q.alloc(rid(3), 0, 0x110, 8);
+        let g0 = q.blocked_gen();
+        q.set_state(a, LoadState::Issued(MemReqId(1)));
+        q.set_state(a, LoadState::Performed);
+        assert_eq!(q.blocked_gen(), g0, "no blocked state involved");
+        q.set_state(b, LoadState::Blocked(BlockReason::MshrFull));
+        let g1 = q.blocked_gen();
+        assert!(g1 > g0, "enter");
+        q.set_state(b, LoadState::Blocked(BlockReason::MshrFull));
+        assert_eq!(q.blocked_gen(), g1, "re-block for the same reason");
+        q.set_state(b, LoadState::Blocked(BlockReason::Fence));
+        let g2 = q.blocked_gen();
+        assert!(g2 > g1, "reason change");
+        q.set_state(b, LoadState::Issued(MemReqId(2)));
+        let g3 = q.blocked_gen();
+        assert!(g3 > g2, "leave");
+        q.retire_head(rid(1));
+        assert_eq!(q.blocked_gen(), g3, "retiring a performed load");
+        q.set_state(c, LoadState::Blocked(BlockReason::StoreSet));
+        let g4 = q.blocked_gen();
+        assert!(g4 > g3, "enter");
+        q.alloc(rid(4), 0, 0x118, 8);
+        assert_eq!(q.blocked_gen(), g4, "allocation");
+        q.truncate(2);
+        assert_eq!(q.blocked_gen(), g4, "dropping a load that is not blocked");
+        q.truncate(1);
+        assert!(q.blocked_gen() > g4, "dropping a blocked load");
     }
 
     #[test]

@@ -20,22 +20,42 @@ pub trait LoadStorePort {
     fn mark_dirty(&mut self, line: Line);
     /// L1 hit latency (the store-commit write latency).
     fn l1_latency(&self) -> u64;
-    /// An opaque version stamp over this core's memory-side state: every
-    /// change that could alter the outcome of an issue attempt bumps it.
-    /// While the stamp is unchanged after a rejected [`issue_load`] or
-    /// [`issue_ownership`], a retry is guaranteed to be rejected again,
-    /// so the core may call [`note_rejected_issue`] instead of re-running
-    /// the full issue path. An unchanged stamp likewise pins the result
-    /// of [`has_ownership`] probes (ownership can only change through a
-    /// stamped mutation). `None` means the port does not track one (the
-    /// memos are disabled and every retry must issue for real).
+    /// An opaque version stamp that pins two kinds of answer while it
+    /// is unchanged:
+    ///
+    /// - *rejected*: after a rejected [`issue_load`] or
+    ///   [`issue_ownership`], a retry of the same request is rejected
+    ///   again, so the core may call [`note_rejected_issues`] instead of
+    ///   re-running the issue path;
+    /// - *not owned*: a [`has_ownership`] probe that returned `false`
+    ///   returns `false` again.
+    ///
+    /// It moves only where one of those answers can flip (an MSHR is
+    /// allocated, a fill arrives), not on every memory-side change.
+    /// "Owned" answers are not pinned by it: every loss of ownership
+    /// raises a notice (`Invalidated`, `Evicted`, `Downgraded`), and the
+    /// core drops its memoized ownership on those. `None` means the
+    /// port does not track one (the memos are disabled and every retry
+    /// must issue for real).
     ///
     /// [`issue_load`]: LoadStorePort::issue_load
     /// [`issue_ownership`]: LoadStorePort::issue_ownership
     /// [`has_ownership`]: LoadStorePort::has_ownership
-    /// [`note_rejected_issue`]: LoadStorePort::note_rejected_issue
+    /// [`note_rejected_issues`]: LoadStorePort::note_rejected_issues
     fn reject_epoch(&self) -> Option<u64> {
         None
+    }
+    /// `true` when an issue for `line` would be rejected right now: an
+    /// [`issue_ownership`] when `ownership`, an [`issue_load`] otherwise.
+    /// Side-effect free; debug builds check every memoized rejection
+    /// against it. Only called on ports that track a [`reject_epoch`].
+    ///
+    /// [`issue_load`]: LoadStorePort::issue_load
+    /// [`issue_ownership`]: LoadStorePort::issue_ownership
+    /// [`reject_epoch`]: LoadStorePort::reject_epoch
+    fn would_reject(&self, line: Line, ownership: bool) -> bool {
+        let _ = (line, ownership);
+        unreachable!("would_reject without a reject_epoch");
     }
     /// Applies the side effects of `n` load or ownership issues that are
     /// known (via an unchanged [`reject_epoch`]) to be rejected — the
